@@ -19,14 +19,17 @@ arXiv:1502.00166; Nguyen & Zheng, arXiv:1307.4264):
   users that ``users[i]`` influences, which is what frontier expansion
   consumes.
 
-A compiled graph is immutable in structure; the §6.3 *weights-only*
+Compilation reads the adjacency as flat arrays
+(:meth:`~repro.graph.digraph.DiGraph.successor_arrays`) and derives the
+transpose with scipy's C counting sort.  The §6.3 *weights-only*
 maintenance strategy (``"SimGraph updated"``) keeps the topology fixed,
 so :meth:`CSRSimGraph.patch_weights` can refresh the weight array in
-place instead of recompiling — the incremental path the service uses at
-rebuild time.  The delta maintenance engine goes one step further: its
-:class:`~repro.core.delta.DeltaReport` names exactly the rows whose
-weights moved, and :meth:`CSRSimGraph.patch_rows` rewrites only those
-row segments — O(changed edges) instead of O(all edges) per rebuild.
+place instead of recompiling.  The delta maintenance engine goes
+further: its :class:`~repro.core.delta.DeltaReport` names exactly the
+rows that moved, and :meth:`CSRSimGraph.patch_rows` rewrites only those
+rows — in place when their targets held, by splicing the arrays when
+edges or nodes came and went — so the service never recompiles on a
+delta rebuild.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.core.simgraph import SimGraph
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, node_positions
 
 __all__ = ["ArraySimGraph", "CSRSimGraph", "gather_ranges"]
 
@@ -98,23 +101,46 @@ class CSRSimGraph:
         inf_indptr: np.ndarray,
         inf_indices: np.ndarray,
         inf_weights: np.ndarray,
+        index: dict[int, int] | None = None,
     ):
+        self._assign(users, inf_indptr, inf_indices, inf_weights, index)
+
+    def _assign(
+        self,
+        users: np.ndarray,
+        inf_indptr: np.ndarray,
+        inf_indices: np.ndarray,
+        inf_weights: np.ndarray,
+        index: dict[int, int] | None = None,
+    ) -> None:
+        """Install a complete influencer CSR and derive the transpose.
+
+        ``index`` (user id -> position) is rebuilt from ``users`` unless
+        the caller already holds it.
+        """
+        from scipy import sparse
+
+        n = len(users)
         self.users = users
-        self.index = {int(u): i for i, u in enumerate(users.tolist())}
+        self.index = (
+            index if index is not None
+            else dict(zip(users.tolist(), range(n)))
+        )
         self.inf_indptr = inf_indptr
         self.inf_indices = inf_indices
         self.inf_weights = inf_weights
         self.inf_counts = np.diff(inf_indptr)
-        n = len(users)
         # Transpose: edge (row u -> influencer v) means "v influences u",
-        # so bucket edge rows by their target position.  The stable sort
-        # keeps each bucket in edge order — deterministic compilation.
-        order = np.argsort(inf_indices, kind="stable")
-        edge_rows = np.repeat(np.arange(n, dtype=np.int64), self.inf_counts)
-        self.out_indices = edge_rows[order]
-        out_counts = np.bincount(inf_indices, minlength=n)
-        self.out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(out_counts, out=self.out_indptr[1:])
+        # so bucket edge rows by their target position.  scipy's C
+        # counting sort (csr -> csc) keeps each bucket in edge order,
+        # exactly a stable argsort of the targets: deterministic
+        # compilation.
+        transpose = sparse.csr_matrix(
+            (np.ones(len(inf_indices)), inf_indices, inf_indptr),
+            shape=(n, n),
+        ).tocsc()
+        self.out_indices = transpose.indices.astype(np.int64)
+        self.out_indptr = transpose.indptr.astype(np.int64)
         self._inf_matrix = None
         self._out_matrix = None
 
@@ -123,23 +149,15 @@ class CSRSimGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_simgraph(cls, simgraph: SimGraph) -> "CSRSimGraph":
-        """Compile ``simgraph`` (one pass over its nodes and edges)."""
+        """Compile ``simgraph``: flat arrays straight from its adjacency."""
         graph = simgraph.graph
-        n = graph.node_count
-        users = np.fromiter(graph.nodes(), dtype=np.int64, count=n)
-        index = {int(u): i for i, u in enumerate(users.tolist())}
-        m = graph.edge_count
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indices = np.empty(m, dtype=np.int64)
-        weights = np.empty(m, dtype=np.float64)
-        pos = 0
-        for i, u in enumerate(users.tolist()):
-            for v, w in graph.out_edges(u):
-                indices[pos] = index[v]
-                weights[pos] = w
-                pos += 1
-            indptr[i + 1] = pos
-        return cls(users, indptr, indices, weights)
+        users = np.fromiter(graph.nodes(), dtype=np.int64, count=len(graph))
+        degrees, targets = graph.successor_arrays()
+        indptr = np.zeros(len(users) + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        return cls(
+            users, indptr, node_positions(users, targets), graph.weight_array()
+        )
 
     def patch_weights(self, simgraph: SimGraph) -> bool:
         """Refresh weights in place when ``simgraph`` has this topology.
@@ -154,75 +172,108 @@ class CSRSimGraph:
         if not self.inf_weights.flags.writeable:
             return False
         graph = simgraph.graph
-        if graph.node_count != len(self.users):
+        if list(graph.nodes()) != self.users.tolist():
             return False
         if graph.edge_count != len(self.inf_indices):
             return False
-        refreshed = np.empty_like(self.inf_weights)
-        pos = 0
-        indices = self.inf_indices
-        for i, u in enumerate(self.users.tolist()):
-            if u not in graph:
-                return False
-            row_end = int(self.inf_indptr[i + 1])
-            for v, w in graph.out_edges(u):
-                j = self.index.get(v)
-                if j is None or pos >= row_end or indices[pos] != j:
-                    return False
-                refreshed[pos] = w
-                pos += 1
-            if pos != row_end:
-                return False
-        self.inf_weights[:] = refreshed
+        _, targets = graph.successor_arrays()
+        if not np.array_equal(targets, self.users[self.inf_indices]):
+            return False
+        self.inf_weights[:] = graph.weight_array()
         self._inf_matrix = None
         return True
 
     def patch_rows(self, simgraph: SimGraph, users: Iterable[int]) -> bool:
-        """Refresh only the named rows' weights in place.
+        """Bring the compiled structure up to ``simgraph`` by rewriting
+        only the named rows.
 
-        The delta maintenance engine reports exactly which users' rows
-        changed; when no row changed topology, only those segments of
-        ``inf_weights`` need rewriting — O(changed edges) instead of the
-        full-array verify of :meth:`patch_weights`.  Every named row is
-        verified against the compiled structure (same targets, same
-        order) before anything is written; on any mismatch — a named
-        user absent from the graph or the index, or a row whose edge
-        sequence drifted — the structure is left untouched and False is
-        returned so the caller can fall back to the full patch or a
-        recompile.  Global node/edge counts are checked first: a count
-        drift means topology changed somewhere, named or not.  A
-        read-only weight array (memory-mapped snapshot) also returns
-        False — mmap-loaded structures are never patched in place.
+        ``users`` must name every user whose out-row changed (the delta
+        maintenance engine's ``DeltaReport.changed_users``); every other
+        row is taken as unchanged.  Two paths:
+
+        * **weights only** — same node sequence and every named row
+          keeps its targets in order: the rows' segments of
+          ``inf_weights`` are rewritten in place, O(changed edges);
+        * **splice** — a named row gained or lost edges, or nodes came
+          or went: the node sequence must be the compiled one minus
+          dropped nodes plus new nodes appended (how a DiGraph's
+          insertion order evolves), and the arrays are re-laid by one
+          gather over the old segments plus the named rows' fresh ones,
+          then the transpose is re-derived.  The Python work stays
+          O(changed edges); the gather and the transpose are O(edges)
+          in numpy and scipy C loops.
+
+        A named user absent from ``simgraph`` is a dropped node.  The
+        result is array-equal to ``from_simgraph(simgraph)``.  On any
+        inconsistency — the node order drifted, an unnamed row points
+        at a dropped node, or the edge total disagrees with the graph —
+        nothing is written and False is returned so the caller can
+        recompile; a read-only weight array (memory-mapped snapshot)
+        also returns False.  A splice moves positions, so warm states
+        compiled before it must not be reused (the service drops its
+        warm cache on every topology change).
         """
         if not self.inf_weights.flags.writeable:
             return False
         graph = simgraph.graph
-        if graph.node_count != len(self.users):
+        old_users = self.users.tolist()
+        present = np.fromiter(
+            map(graph.__contains__, old_users), dtype=bool,
+            count=len(old_users),
+        )
+        kept = old_users if present.all() else self.users[present].tolist()
+        nodes = list(graph.nodes())
+        if nodes[: len(kept)] != kept:
             return False
-        if graph.edge_count != len(self.inf_indices):
+        same_nodes = len(nodes) == len(kept) == len(old_users)
+        new_users = (
+            self.users if same_nodes else np.asarray(nodes, dtype=np.int64)
+        )
+        named = [u for u in dict.fromkeys(users) if u in graph]
+        counts, target_ids = graph.successor_arrays(named)
+        weights = graph.weight_array(named)
+        positions = node_positions(
+            new_users, np.asarray(named, dtype=np.int64)
+        )
+        if same_nodes and graph.edge_count == len(self.inf_indices):
+            if np.array_equal(self.inf_counts[positions], counts):
+                flat, _, _ = gather_ranges(self.inf_indptr, positions)
+                old_targets = self.users[self.inf_indices[flat]]
+                if np.array_equal(old_targets, target_ids):
+                    self.inf_weights[flat] = weights
+                    self._inf_matrix = None
+                    return True
+        # Splice: row j of the new layout copies ``new_counts[j]``
+        # entries starting at ``sources[j]`` of the old arrays followed
+        # by the fresh rows (old targets remapped to new positions).
+        n_kept = len(kept)
+        remap = np.full(len(old_users), -1, dtype=np.int64)
+        remap[present] = np.arange(n_kept, dtype=np.int64)
+        new_counts = np.zeros(len(nodes), dtype=np.int64)
+        new_counts[:n_kept] = self.inf_counts[present]
+        new_counts[positions] = counts
+        sources = np.zeros(len(nodes), dtype=np.int64)
+        sources[:n_kept] = self.inf_indptr[:-1][present]
+        fresh_starts = np.cumsum(counts) - counts
+        sources[positions] = len(self.inf_indices) + fresh_starts
+        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(new_counts, out=indptr[1:])
+        if int(indptr[-1]) != graph.edge_count:
             return False
-        indices = self.inf_indices
-        updates: list[tuple[int, np.ndarray]] = []
-        for u in users:
-            i = self.index.get(u)
-            if i is None or u not in graph:
-                return False
-            lo = int(self.inf_indptr[i])
-            hi = int(self.inf_indptr[i + 1])
-            fresh = np.empty(hi - lo, dtype=np.float64)
-            pos = lo
-            for v, w in graph.out_edges(u):
-                j = self.index.get(v)
-                if j is None or pos >= hi or indices[pos] != j:
-                    return False
-                fresh[pos - lo] = w
-                pos += 1
-            if pos != hi:
-                return False
-            updates.append((lo, fresh))
-        for lo, fresh in updates:
-            self.inf_weights[lo : lo + len(fresh)] = fresh
-        self._inf_matrix = None
+        flat = np.repeat(sources - indptr[:-1], new_counts) + np.arange(
+            indptr[-1], dtype=np.int64
+        )
+        targets = node_positions(new_users, target_ids)
+        indices = np.concatenate([remap[self.inf_indices], targets])[flat]
+        if indices.size and int(indices.min()) < 0:
+            return False
+        self._assign(
+            new_users,
+            indptr,
+            indices,
+            np.concatenate([self.inf_weights, weights])[flat],
+            self.index if same_nodes else None,
+        )
         return True
 
     # ------------------------------------------------------------------

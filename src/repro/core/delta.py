@@ -24,21 +24,45 @@ non-core user ``u`` can still gain, lose or re-weigh edges *toward*
 core users — but only for candidates in its exploration neighbourhood,
 so the **fringe** is the ``hops``-hop in-neighbourhood of the core, and
 each fringe row is patched in place on exactly its affected candidates.
+Tighter still: ``u`` is clean and so is ``m(i)`` for every tweet it
+retweeted (else it would be core), so a (fringe, core ``w``) pair moves
+only when ``L_w`` did — only dirty users' fringe pairs are rescored.
 Everything else is copied through untouched.
 
 Fringe pair scores are computed from the core side (``sim`` is
-symmetric), so the whole run costs one inverted-index walk and two
-bounded BFS per *core* user instead of one walk and one BFS per *graph*
-user — the crossfold-beats-from-scratch bet of Figure 16, taken to its
-limit.  Walking the other side of a pair can reorder the float
-accumulation, so patched weights may differ from a from-scratch build
-by last-ulp round-off (the differential suite pins them within 1e-12;
-edge sets are identical).
+symmetric), so the whole run costs one inverted-index walk per *core*
+user, one multi-source walk for the fringe and one bounded walk per
+*dirty* user instead of one walk and one BFS per *graph* user — the
+crossfold-beats-from-scratch bet of Figure 16, taken to its limit.
+Walking the other side of a pair can reorder the float accumulation, so
+patched weights may differ from a from-scratch build by last-ulp
+round-off (the differential suite pins them within 1e-12; edge sets are
+identical).
 
-On the ``vectorized`` backend the fringe scores come from a
-*dirty-submatrix* sparse product
-(:meth:`~repro.core.simmatrix.SimilarityMatrix.similarity_submatrix`):
-``|core| x |fringe|`` instead of the full user-squared Gram.
+On the ``vectorized`` backend the fringe scores are read off the core
+users' own Gram rows — the ``|core| x users`` product the core rows are
+scored from anyway — instead of the full user-squared Gram.
+
+Cost per rebuild (``vectorized`` backend, the service's delta path):
+
+* **O(change), Python:** scoring and thresholding the core rows (their
+  Gram rows, candidate masks and kept edges), the rows written into the
+  copy-on-write clone, the dirty users' fringe pairs, and — in the
+  service — the changed rows that
+  :meth:`~repro.core.csr.CSRSimGraph.patch_rows` re-reads.
+* **O(graph), C loops:** the incidence matrix from the flat pair list
+  (two dict maps and a counting sort over every retweet pair), the
+  follow adjacency behind the masks (one pass over every follow edge),
+  the Gram product's transpose of the weighted incidence, the clone's
+  shallow copy of the node maps, the fringe walk, and the CSR splice
+  (one gather over every edge plus the transpose's counting sort).
+
+On the benchmark's ``churn`` workload (1,500 users, ~57k SimGraph edges,
+149 hourly rebuilds per pass, seed 1, traced, per pass, on a 2-core VM
+without numba) this took
+``apply_delta`` from 9.76 s to 3.50 s, ``affected_region`` from 0.82 s
+to 0.23 s and CSR upkeep from 148 full recompiles (3.83 s) to 149 row
+patches, on the same plans and outputs.
 """
 
 from __future__ import annotations
@@ -71,10 +95,11 @@ class DeltaPlan:
         Users outside the core that can reach a core user within the
         exploration radius — the only other rows that can change.
     needed:
-        core user -> the fringe users that need its score; the exact
-        (fringe, core) pairs patched, stored core-side because both the
+        dirty user -> the fringe users that can reach it: the (fringe,
+        core) pairs a patch rescores, stored core-side because both the
         restricted walks and the fringe surgery consume them per core
-        user.
+        user.  Pairs whose core user is clean are left out: no such
+        pair's score can have moved (see the module docstring).
     dirty_users / dirty_tweets:
         The raw profile-level dirt the plan was derived from.
     """
@@ -151,30 +176,31 @@ def affected_region(
     core.update(extra_sources)
     for tweet in dirty_tweets:
         core.update(profiles.retweeters(tweet))
-    needed: dict[int, set[int]] = {}
-    preds = exploration_graph.predecessors
-    for w in core:
-        if w not in exploration_graph:
-            continue
-        # u reaches w within `hops` successor-steps iff w is in N_hops(u):
-        # expand the predecessor direction from w, frontier by frontier
-        # (C-level set unions beat a distance-tracking BFS here).
-        seen = {w}
-        frontier: Iterable[int] = (w,)
+    in_neighbours = exploration_graph.predecessors_of
+
+    def reaching(sources: set[int]) -> set[int]:
+        # u reaches a source within `hops` successor-steps iff the
+        # source is in N_hops(u): expand the predecessor direction,
+        # frontier by frontier (C-level set unions beat a
+        # distance-tracking BFS here).
+        seen = set(sources)
+        frontier = seen
         for _ in range(hops):
-            grown = set()
-            for x in frontier:
-                grown.update(preds(x))
-            grown -= seen
-            if not grown:
+            frontier = in_neighbours(frontier) - seen
+            if not frontier:
                 break
-            seen |= grown
-            frontier = grown
-        reaching = seen - core
-        if not reaching:
-            continue
-        needed[w] = reaching
-    fringe = set().union(*needed.values()) if needed else set()
+            seen |= frontier
+        return seen - core
+
+    in_graph = {w for w in core if w in exploration_graph}
+    # One multi-source walk finds the whole fringe; per-user walks are
+    # only needed for the dirty users, whose fringe pairs get rescored.
+    fringe = reaching(in_graph)
+    needed: dict[int, set[int]] = {}
+    for w in dirty_users & in_graph:
+        users = reaching({w})
+        if users:
+            needed[w] = users
     return DeltaPlan(
         core=frozenset(core),
         fringe=frozenset(fringe),
@@ -198,7 +224,8 @@ def _reference_core_state(
     plan's candidate map).  The candidate filter skips pairs without
     reordering the per-pair tweet accumulation, so the thresholded rows
     reproduce ``builder.edges_for_user`` bit-for-bit while the same
-    walk yields every ``sim(w, ·)`` the fringe patches consume.
+    walk yields every ``sim(w, ·) >= tau`` the fringe patches consume
+    (a pair below ``tau`` carries no edge, whatever its score).
     """
     rows: dict[int, dict[int, float]] = {}
     sym: dict[int, dict[int, float]] = {}
@@ -211,11 +238,9 @@ def _reference_core_state(
         scores = similarities_from(
             profiles, w, candidates=reach | wanted if wanted else reach
         )
-        sym[w] = scores
+        sym[w] = {x: s for x, s in scores.items() if s >= builder.tau}
         pairs += len(scores)
-        kept = {
-            x: s for x, s in scores.items() if x in reach and s >= builder.tau
-        }
+        kept = {x: s for x, s in sym[w].items() if x in reach}
         if (
             builder.max_influencers is not None
             and len(kept) > builder.max_influencers
@@ -227,28 +252,29 @@ def _reference_core_state(
 
 def _vectorized_core_state(
     core: list[int],
-    fringe: list[int],
+    needed: dict[int, set[int]],
     exploration_graph: DiGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
 ) -> tuple[dict[int, dict[int, float]], dict[int, dict[int, float]], int]:
-    """Core rows and fringe scores from one shared incidence matrix.
+    """Core rows and fringe scores from one shared Gram product.
 
-    Core rows reuse the chunked scorer of the full vectorized build
-    (:func:`~repro.core.simmatrix._chunk_edges`) against a candidate
-    mask assembled from per-core-user BFS — O(core) rows instead of the
-    full build's whole-graph reachability matmuls.  Fringe scores come
-    from the dirty-submatrix product (|core| x |fringe| instead of the
-    user-squared Gram).
+    The core users' complex Gram rows are computed once per chunk.
+    Core rows reuse the row scorer of the full vectorized build
+    (:func:`~repro.core.simmatrix.score_rows`) against candidate masks
+    from ``hops - 1`` sparse products over the follow adjacency,
+    restricted to the core rows — O(core) mask rows instead of the full
+    build's whole-graph reachability.  The fringe scores ``sim(w, u)``
+    for ``u`` in ``needed[w]`` are the same Gram rows' entries: no
+    second product.
     """
-    from scipy import sparse
-
     import numpy as np
 
     from repro.core.simmatrix import (
         DEFAULT_CHUNK_SIZE,
         SimilarityMatrix,
-        _chunk_edges,
+        reachability_matrix,
+        score_rows,
     )
 
     matrix = SimilarityMatrix(
@@ -260,38 +286,59 @@ def _vectorized_core_state(
         if u in exploration_graph and profiles.has_profile(u)
     ]
     rows: dict[int, dict[int, float]] = {}
-    pairs = 0
-    if eligible:
-        mask_rows: list[int] = []
-        mask_cols: list[int] = []
-        for u in eligible:
-            i = matrix.position(u)
-            for v in k_hop_neighborhood(exploration_graph, u, builder.hops):
-                mask_rows.append(i)
-                mask_cols.append(matrix.position(v))
-        reach = sparse.csr_matrix(
-            (np.ones(len(mask_rows)), (mask_rows, mask_cols)),
-            shape=(matrix.user_count, matrix.user_count),
-        )
-        state = (matrix, reach, builder.tau, builder.max_influencers)
-        for start in range(0, len(eligible), DEFAULT_CHUNK_SIZE):
-            chunk = eligible[start : start + DEFAULT_CHUNK_SIZE]
-            for u, kept in _chunk_edges(state, chunk):
-                rows[u] = kept
-        pairs = sum(len(row) for row in rows.values())
     sym: dict[int, dict[int, float]] = {}
-    if fringe and eligible:
-        sub = matrix.similarity_submatrix(eligible, fringe)
-        pairs += int(sub.nnz)
-        indptr, indices, data = sub.indptr, sub.indices, sub.data
-        for r, w in enumerate(eligible):
-            lo, hi = indptr[r], indptr[r + 1]
-            if lo == hi:
-                continue
-            sym[w] = {
-                fringe[c]: float(s)
-                for c, s in zip(indices[lo:hi], data[lo:hi])
-            }
+    if not eligible:
+        return rows, sym, 0
+    index = matrix.index
+    row_idx = np.fromiter(
+        map(index.__getitem__, eligible), dtype=np.int64, count=len(eligible)
+    )
+    masks = reachability_matrix(
+        exploration_graph, builder.hops, index, matrix.user_count,
+        rows=row_idx,
+    )
+    # Fringe users are never core, so a fringe column is never the row's
+    # own user: no self-pair to drop.
+    fringe = set().union(*needed.values())
+    in_fringe = np.zeros(matrix.user_count, dtype=bool)
+    in_fringe[
+        np.fromiter(
+            map(index.__getitem__, fringe), dtype=np.int64, count=len(fringe)
+        )
+    ] = True
+    fringe_pairs = 0
+    for start in range(0, len(eligible), DEFAULT_CHUNK_SIZE):
+        chunk = slice(start, start + DEFAULT_CHUNK_SIZE)
+        users = eligible[chunk]
+        gram = matrix.gram_rows(row_idx[chunk])
+        for u, kept in score_rows(
+            matrix, users, row_idx[chunk], gram, masks[chunk],
+            builder.tau, builder.max_influencers,
+        ):
+            rows[u] = kept
+        wanting = np.fromiter(
+            map(needed.__contains__, users), dtype=bool, count=len(users)
+        )
+        select = in_fringe[gram.indices] & np.repeat(
+            wanting, np.diff(gram.indptr)
+        )
+        fringe_pairs += int(select.sum())
+        local, sims = matrix.sims_from_gram(gram, row_idx[chunk], select)
+        # Only pairs at or above tau can carry an edge: drop the rest
+        # before any Python object is built.
+        strong = sims >= builder.tau
+        bounds = np.zeros(len(users) + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(local[strong], minlength=len(users)), out=bounds[1:]
+        )
+        targets = matrix.users_at(gram.indices[select][strong])
+        scores = sims[strong].tolist()
+        bounds = bounds.tolist()
+        for r, w in enumerate(users):
+            lo, hi = bounds[r], bounds[r + 1]
+            if lo != hi:
+                sym[w] = dict(zip(targets[lo:hi], scores[lo:hi]))
+    pairs = sum(len(row) for row in rows.values()) + fringe_pairs
     return rows, sym, pairs
 
 
@@ -337,17 +384,15 @@ def apply_delta(
         needed = {}
         fringe = frozenset()
     core_sorted = sorted(core)
-    fringe_sorted = sorted(fringe)
+    rows_patched = len(fringe)
     metrics.counter("maintenance.affected_users").inc(
         len(core) + len(fringe)
     )
 
-    tau = builder.tau
     with metrics.span("maintenance.delta"):
         if builder.backend == "vectorized":
             rows, sym, pairs_rescored = _vectorized_core_state(
-                core_sorted, fringe_sorted, exploration_graph, profiles,
-                builder,
+                core_sorted, needed, exploration_graph, profiles, builder
             )
         else:
             rows, sym, pairs_rescored = _reference_core_state(
@@ -360,7 +405,6 @@ def apply_delta(
         # per-candidate surgery for fringe rows.
         changed: set[int] = set()
         topology_changed = False
-        rows_patched = len(fringe_sorted)
         maybe_isolated: set[int] = set()
         result = old.graph.copy()
         old_graph = old.graph
@@ -378,41 +422,40 @@ def apply_delta(
                     maybe_isolated.add(u)
             if u in result or row:
                 result.set_row(u, row)
-        # Fringe surgery runs core-side: for each core user w, the only
-        # (fringe u, w) pairs that can need work either score non-zero
-        # now (u appears in w's walk) or carried an edge before — both
-        # found by C-level set intersection, skipping the no-op majority
-        # of candidate pairs.  For a fixed w every fringe row is touched
-        # at most once, so the inner order is immaterial: surviving
-        # edges keep their positions and new edges append in
+        # Fringe surgery runs core-side: for each dirty user w, the only
+        # (fringe u, w) pairs that can need work either score at or
+        # above tau now (u is in w's strong scores) or carried an edge
+        # before — both found by C-level set operations, skipping the
+        # no-op majority of candidate pairs.  For a fixed w every fringe
+        # row is touched at most once, so the inner order is immaterial:
+        # surviving edges keep their positions and new edges append in
         # ascending-w outer order.
         get_weight = result.get_weight
         update_weight = result.update_weight
         mark_changed = changed.add
-        for w in core_sorted:
-            wanted = needed.get(w)
-            if not wanted:
-                continue
+        for w in sorted(needed):
+            wanted = needed[w]
             scores = sym.get(w) or {}
-            attention = scores.keys() & wanted
-            if w in old_graph:
-                attention |= wanted.intersection(old_graph.predecessors(w))
-            for u in attention:
-                score = scores.get(u, 0.0)
+            kept = scores.keys() & wanted
+            for u in kept:
+                score = scores[u]
                 old_weight = get_weight(u, w)
-                if score >= tau:
-                    if old_weight is None:
-                        result.add_edge(u, w, weight=score)
-                        mark_changed(u)
-                        topology_changed = True
-                    elif old_weight != score:
-                        update_weight(u, w, score)
-                        mark_changed(u)
-                elif old_weight is not None:
-                    result.remove_edge(u, w)
+                if old_weight is None:
+                    result.add_edge(u, w, weight=score)
                     mark_changed(u)
                     topology_changed = True
-                    maybe_isolated.update((u, w))
+                elif old_weight != score:
+                    update_weight(u, w, score)
+                    mark_changed(u)
+            if w not in old_graph:
+                continue
+            lost = wanted.intersection(old_graph.predecessors(w))
+            lost -= kept
+            for u in lost:
+                result.remove_edge(u, w)
+                mark_changed(u)
+                topology_changed = True
+                maybe_isolated.update((u, w))
         # A from-scratch build holds exactly the endpoints of kept
         # edges; drop any node the surgery left with no edge at all.
         for node in sorted(maybe_isolated):

@@ -113,6 +113,10 @@ class RetweetProfiles:
         #: ``user_count``/``tweet_count`` O(1) on the columnar path).
         self._extra_users = 0
         self._extra_tweets = 0
+        #: Every pair stored in the dict maps, in insertion order — the
+        #: flat form :meth:`pairs` hands to array consumers.
+        self._pair_users: list[int] = []
+        self._pair_tweets: list[int] = []
         self._dirty_users: set[int] = set()
         self._dirty_tweets: set[int] = set()
         for retweet in retweets:
@@ -191,6 +195,8 @@ class RetweetProfiles:
             ):
                 self._extra_tweets += 1
         retweeters.add(user)
+        self._pair_users.append(user)
+        self._pair_tweets.append(tweet)
         self._dirty_users.add(user)
         self._dirty_tweets.add(tweet)
 
@@ -236,6 +242,22 @@ class RetweetProfiles:
             merged = np.concatenate([base, merged])
         merged.sort()
         return merged
+
+    def pairs(self) -> tuple[list[int], list[int]]:
+        """Every distinct ``(user, tweet)`` pair as two parallel lists.
+
+        The flat form of the whole incidence, for array consumers (the
+        vectorized similarity backend) that would otherwise walk the
+        profiles one user at a time.  Pair order is unspecified.
+        """
+        if self._by_user is None:
+            return list(self._pair_users), list(self._pair_tweets)
+        base = self._by_user
+        users = np.repeat(base.keys, np.diff(base.indptr)).tolist()
+        return (
+            users + self._pair_users,
+            base.items.tolist() + self._pair_tweets,
+        )
 
     def profile_size(self, user: int) -> int:
         """|L_u| without copying the set."""

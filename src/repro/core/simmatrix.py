@@ -28,6 +28,7 @@ similarities within 1e-12.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Mapping
@@ -36,12 +37,13 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.profiles import RetweetProfiles
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, node_positions
 from repro.obs import NULL, MetricsRegistry
 
 __all__ = [
     "SimilarityMatrix",
     "reachability_matrix",
+    "score_rows",
     "simgraph_edges",
     "DEFAULT_CHUNK_SIZE",
 ]
@@ -65,29 +67,39 @@ class SimilarityMatrix:
     def __init__(
         self, profiles: RetweetProfiles, extra_users: Iterable[int] = ()
     ):
-        universe = set(profiles.users())
+        # One flat (user, tweet) pair list instead of a per-user walk:
+        # row/column codes are two C-level dict maps, the CSR layout
+        # scipy's C counting sort, and m(i) a bincount over the codes.
+        pair_users, pair_tweets = profiles.pairs()
+        universe = set(pair_users)
         universe.update(extra_users)
         self._users: list[int] = sorted(universe)
         self._users_arr = np.asarray(self._users, dtype=np.int64)
-        self._index: dict[int, int] = {u: i for i, u in enumerate(self._users)}
-        tweets = sorted(profiles.tweets())
-        tweet_index = {t: j for j, t in enumerate(tweets)}
-        indptr = np.zeros(len(self._users) + 1, dtype=np.int64)
-        cols: list[int] = []
-        for i, user in enumerate(self._users):
-            cols.extend(tweet_index[t] for t in sorted(profiles.profile(user)))
-            indptr[i + 1] = len(cols)
-        indices = np.asarray(cols, dtype=np.int64)
+        self._index: dict[int, int] = dict(
+            zip(self._users, range(len(self._users)))
+        )
+        tweets = sorted(set(pair_tweets))
+        tweet_index = dict(zip(tweets, range(len(tweets))))
+        n_pairs = len(pair_users)
+        rows = np.fromiter(
+            map(self._index.__getitem__, pair_users), dtype=np.int64,
+            count=n_pairs,
+        )
+        cols = np.fromiter(
+            map(tweet_index.__getitem__, pair_tweets), dtype=np.int64,
+            count=n_pairs,
+        )
         self._B = sparse.csr_matrix(
-            (np.ones(len(indices)), indices, indptr),
+            (np.ones(n_pairs), (rows, cols)),
             shape=(len(self._users), len(tweets)),
         )
-        weights = np.array(
-            [profiles.tweet_weight(t) for t in tweets], dtype=np.float64
-        )
+        weights = _tweet_weights(np.bincount(cols, minlength=len(tweets)))
         # Complex-weighted incidence: one matmul returns numerator (real)
         # and overlap count (imaginary) on a single sparsity pattern.
-        self._Bc = (self._B @ sparse.diags(weights + 1j)).tocsr()
+        self._Bc = sparse.csr_matrix(
+            ((weights + 1j)[self._B.indices], self._B.indices, self._B.indptr),
+            shape=self._B.shape,
+        )
         self._sizes = np.diff(self._B.indptr)
 
     # ------------------------------------------------------------------
@@ -153,53 +165,25 @@ class SimilarityMatrix:
         return (self._B[row_idx] @ self._Bc.T).tocsr()
 
     def sims_from_gram(
-        self, gram: sparse.csr_matrix, row_idx: np.ndarray
+        self,
+        gram: sparse.csr_matrix,
+        row_idx: np.ndarray,
+        select: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Turn (masked) Gram entries into Def. 3.1 scores.
 
-        Returns ``(local_rows, sims)`` aligned with ``gram``'s nonzeros.
+        Returns ``(local_rows, sims)`` aligned with ``gram``'s nonzeros,
+        or with those a boolean ``select`` over the nonzeros keeps.
         Structural nonzeros always carry >= 1 shared tweet, so the union
         size is positive and the numerator strictly so.
         """
         counts = np.diff(gram.indptr)
         local = np.repeat(np.arange(row_idx.size, dtype=np.int64), counts)
-        union = (
-            self._sizes[row_idx[local]]
-            + self._sizes[gram.indices]
-            - gram.data.imag
-        )
-        return local, gram.data.real / union
-
-    def similarity_submatrix(
-        self, rows: Iterable[int], cols: Iterable[int]
-    ) -> sparse.csr_matrix:
-        """Def. 3.1 scores restricted to ``rows x cols`` — the
-        *dirty-submatrix* product of delta maintenance.
-
-        Entry ``(r, c)`` is ``sim(rows[r], cols[c])`` (0 when no tweet
-        is shared; self-pairs removed).  The product touches only the
-        requested rows and columns of the incidence, so rescoring an
-        affected region of ``k`` users against its fringe costs
-        ``O(k)`` sparse rows instead of the full user-squared Gram.
-        """
-        row_idx = np.asarray([self._index[u] for u in rows], dtype=np.int64)
-        col_idx = np.asarray([self._index[u] for u in cols], dtype=np.int64)
-        if row_idx.size == 0 or col_idx.size == 0:
-            return sparse.csr_matrix((row_idx.size, col_idx.size))
-        gram = (self._B[row_idx] @ self._Bc[col_idx].T).tocsr()
-        counts = np.diff(gram.indptr)
-        local = np.repeat(np.arange(row_idx.size, dtype=np.int64), counts)
-        union = (
-            self._sizes[row_idx[local]]
-            + self._sizes[col_idx[gram.indices]]
-            - gram.data.imag
-        )
-        sims = gram.data.real / union
-        keep = row_idx[local] != col_idx[gram.indices]
-        return sparse.csr_matrix(
-            (sims[keep], (local[keep], gram.indices[keep])),
-            shape=(row_idx.size, col_idx.size),
-        )
+        cols, data = gram.indices, gram.data
+        if select is not None:
+            local, cols, data = local[select], cols[select], data[select]
+        union = self._sizes[row_idx[local]] + self._sizes[cols] - data.imag
+        return local, data.real / union
 
     def similarities_from(
         self, u: int, candidates: Iterable[int] | None = None
@@ -218,41 +202,93 @@ class SimilarityMatrix:
         return scores
 
 
-def reachability_matrix(
-    graph: DiGraph, hops: int, index: Mapping[int, int], size: int
-) -> sparse.csr_matrix:
-    """0/1 CSR of "within ``hops`` successor-steps" for every graph node.
+def _tweet_weights(popularity: np.ndarray) -> np.ndarray:
+    """Def. 3.1 tweet weights ``1/log(1 + m(i))`` for a popularity array.
 
-    Row ``index[u]`` marks exactly ``k_hop_neighborhood(graph, u, hops)``
-    (source excluded) in the shared universe column space — the candidate
-    masks of the whole SimGraph build from ``hops - 1`` boolean sparse
-    matmuls instead of one BFS per user.
+    Evaluated with :func:`math.log1p` once per distinct popularity, so
+    every weight is bit-identical to
+    :meth:`~repro.core.profiles.RetweetProfiles.tweet_weight`.
     """
-    rows: list[int] = []
-    cols: list[int] = []
-    for u in graph.nodes():
-        i = index[u]
-        for v in graph.successors(u):
-            rows.append(i)
-            cols.append(index[v])
-    adjacency = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(size, size)
+    values, inverse = np.unique(popularity, return_inverse=True)
+    table = np.array(
+        [1.0 / math.log1p(m) for m in values.tolist()],
+        dtype=np.float64,
     )
-    reach = adjacency.copy()
-    frontier = adjacency
-    for _ in range(hops - 1):
-        frontier = (frontier @ adjacency).tocsr()
-        if frontier.nnz == 0:
-            break
-        frontier.data[:] = 1.0
-        reach = (reach + frontier).tocsr()
-        reach.data[:] = 1.0
-    coo = reach.tocoo()
-    off_diagonal = coo.row != coo.col
-    return sparse.csr_matrix(
-        (coo.data[off_diagonal], (coo.row[off_diagonal], coo.col[off_diagonal])),
+    return table[inverse.reshape(-1)]
+
+
+def _follow_adjacency(
+    graph: DiGraph, index: Mapping[int, int], size: int
+) -> sparse.csr_matrix:
+    """0/1 CSR of the successor relation of ``graph`` in ``index`` space.
+
+    Column indices come out sorted within every row, without a sort:
+    the node-row CSR is transposed to CSC (a C counting pass), its row
+    labels are mapped into ``index`` space and the counting pass back to
+    CSR emits each row's columns in ascending order.
+    """
+    n = graph.node_count
+    nodes = np.fromiter(graph.nodes(), dtype=np.int64, count=n)
+    # Universe position of every node, and of every edge target by way
+    # of its node position.
+    placed = np.fromiter(
+        map(index.__getitem__, graph.nodes()), dtype=np.int64, count=n
+    )
+    degrees, targets = graph.successor_arrays()
+    node_rows = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=node_rows[1:])
+    by_target = sparse.csr_matrix(
+        (
+            np.ones(len(targets)),
+            placed[node_positions(nodes, targets)],
+            node_rows,
+        ),
+        shape=(n, size),
+    ).tocsc()
+    return sparse.csc_matrix(
+        (by_target.data, placed[by_target.indices], by_target.indptr),
         shape=(size, size),
-    )
+    ).tocsr()
+
+
+def reachability_matrix(
+    graph: DiGraph,
+    hops: int,
+    index: Mapping[int, int],
+    size: int,
+    rows: np.ndarray | None = None,
+) -> sparse.csr_matrix:
+    """0/1 CSR of "within ``hops`` successor-steps" in universe space.
+
+    Without ``rows``, row ``index[u]`` marks exactly
+    ``k_hop_neighborhood(graph, u, hops)`` (source excluded) for every
+    graph node — the candidate masks of a whole SimGraph build.  With
+    ``rows`` (universe positions), row ``r`` marks the neighbourhood of
+    the user at ``rows[r]`` — the masks of a delta run's core users.
+    Either way the masks come from ``hops - 1`` boolean sparse products
+    over :func:`_follow_adjacency` instead of one BFS per user.  Columns
+    are sorted within every row (canonical CSR).
+    """
+    adjacency = _follow_adjacency(graph, index, size)
+    reach = adjacency if rows is None else adjacency[rows]
+    if hops > 1:
+        # reach @ (I + A) extends every row by one more successor-step.
+        step = adjacency + sparse.identity(size, format="csr")
+        for _ in range(hops - 1):
+            grown = reach @ step
+            if grown.nnz == reach.nnz:
+                break
+            reach = grown
+        # The product leaves columns unsorted; a CSC round trip (two C
+        # counting passes) sorts them.
+        reach = reach.tocsc().tocsr()
+        reach.data[:] = 1.0
+    sources = np.arange(size) if rows is None else rows
+    own = reach.indices == np.repeat(sources, np.diff(reach.indptr))
+    if own.any():
+        reach.data[own] = 0.0
+        reach.eliminate_zeros()
+    return reach
 
 
 def simgraph_edges(
@@ -316,41 +352,66 @@ def simgraph_edges(
 def _chunk_edges(
     state, chunk: list[int], metrics: MetricsRegistry = NULL
 ) -> list[tuple[int, dict[int, float]]]:
-    """Score one chunk of sources and threshold/cap their edges.
-
-    The candidate mask is applied to the *complex Gram* rows before any
-    score is computed, so similarities are only ever evaluated for the
-    (source, k-hop candidate) pairs the reference build would score.  The
-    mask's diagonal is empty, which also removes self-similarity entries.
-    """
+    """Score one chunk of sources against the build's shared masks."""
     matrix, reach, tau, max_influencers = state
-    row_idx = np.asarray(
-        [matrix.position(u) for u in chunk], dtype=np.int64
+    row_idx = np.fromiter(
+        map(matrix.index.__getitem__, chunk), dtype=np.int64, count=len(chunk)
     )
-    masked = matrix.gram_rows(row_idx).multiply(reach[row_idx]).tocsr()
+    return score_rows(
+        matrix, chunk, row_idx, matrix.gram_rows(row_idx), reach[row_idx],
+        tau, max_influencers, metrics,
+    )
+
+
+def score_rows(
+    matrix: SimilarityMatrix,
+    users: list[int],
+    row_idx: np.ndarray,
+    gram: sparse.csr_matrix,
+    mask: sparse.csr_matrix,
+    tau: float,
+    max_influencers: int | None,
+    metrics: MetricsRegistry = NULL,
+) -> list[tuple[int, dict[int, float]]]:
+    """Threshold and cap the SimGraph rows of ``users``.
+
+    ``row_idx`` holds the users' universe positions, ``gram`` their
+    :meth:`SimilarityMatrix.gram_rows` and ``mask`` their candidate
+    rows, all aligned.  The mask is applied to the *complex Gram* rows
+    before any score is computed, so similarities are only ever
+    evaluated for the (source, k-hop candidate) pairs the reference
+    build would score.  The mask's diagonal is empty, which also
+    removes self-similarity entries.
+    """
+    masked = gram.multiply(mask).tocsr()
     metrics.counter("simgraph.pairs_scored").inc(int(masked.nnz))
-    _, sims = matrix.sims_from_gram(masked, row_idx)
-    indptr, cols = masked.indptr, masked.indices
+    local, sims = matrix.sims_from_gram(masked, row_idx)
+    keep = sims >= tau
+    bounds = np.zeros(len(users) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(local[keep], minlength=len(users)), out=bounds[1:])
+    cols = masked.indices[keep]
+    sims = sims[keep]
+    if max_influencers is not None:
+        # Retain each row's max_influencers largest (score, user id)
+        # pairs — the exact tie-break of utils.topk.TopK on the
+        # reference path — in that ascending order.
+        for j in np.flatnonzero(np.diff(bounds) > max_influencers).tolist():
+            lo, hi = bounds[j], bounds[j + 1]
+            order = np.lexsort((cols[lo:hi], sims[lo:hi]))
+            cols[lo:hi] = cols[lo:hi][order]
+            sims[lo:hi] = sims[lo:hi][order]
+        sizes = np.minimum(np.diff(bounds), max_influencers)
+        starts = bounds[1:] - sizes
+    else:
+        sizes = np.diff(bounds)
+        starts = bounds[:-1]
+    targets = matrix.users_at(cols)
+    scores = sims.tolist()
     edges: list[tuple[int, dict[int, float]]] = []
-    for j, u in enumerate(chunk):
-        row = slice(indptr[j], indptr[j + 1])
-        row_sims = sims[row]
-        row_cols = cols[row]
-        keep = row_sims >= tau
-        if not keep.all():
-            row_sims = row_sims[keep]
-            row_cols = row_cols[keep]
-        if row_sims.size == 0:
-            continue
-        if max_influencers is not None and row_sims.size > max_influencers:
-            # Retain the max_influencers largest (score, user id) pairs —
-            # the exact tie-break of utils.topk.TopK on the reference path.
-            strongest = np.lexsort((row_cols, row_sims))[-max_influencers:]
-            row_sims = row_sims[strongest]
-            row_cols = row_cols[strongest]
-        edges.append(
-            (u, dict(zip(matrix.users_at(row_cols), row_sims.tolist())))
-        )
+    for u, lo, size in zip(users, starts.tolist(), sizes.tolist()):
+        if size:
+            hi = lo + size
+            edges.append((u, dict(zip(targets[lo:hi], scores[lo:hi]))))
     return edges
 
 

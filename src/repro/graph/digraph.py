@@ -7,21 +7,48 @@ hashable values; in practice the library uses integer user ids.
 
 Edges optionally carry a float weight — the SimGraph stores similarity
 scores there; the raw follow graph leaves weights at 1.0.
+
+:meth:`DiGraph.copy` is copy-on-write: the clone shares every adjacency
+row with its source until one side writes to it, so cloning costs
+O(nodes) and each later write copies only the rows it touches.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Hashable, Iterable, Iterator
+
+import numpy as np
 
 from repro.exceptions import GraphError
 
-__all__ = ["DiGraph"]
+__all__ = ["DiGraph", "node_positions"]
 
 Node = Hashable
 
 #: Shared empty mapping returned by :meth:`DiGraph.out_row` for unknown
 #: nodes; never mutated.
 _EMPTY_ROW: dict = {}
+
+
+def node_positions(order: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Position in ``order`` of every id in ``ids`` (int64 arrays).
+
+    Every id must occur in ``order``, which holds distinct ids in any
+    order.  A compact id range (the usual case: ids numbered from zero)
+    is answered by one gather through a dense table, any other by a
+    sorted search — either way no per-id dict lookup.
+    """
+    if len(order) == 0:
+        return np.empty(0, dtype=np.int64)
+    low = int(order.min())
+    span = int(order.max()) - low + 1
+    if span <= 4 * len(order) + 1024:
+        table = np.empty(span, dtype=np.int64)
+        table[order - low] = np.arange(len(order), dtype=np.int64)
+        return table[ids - low]
+    sorter = np.argsort(order, kind="stable")
+    return sorter[np.searchsorted(order[sorter], ids)]
 
 
 class DiGraph:
@@ -42,6 +69,30 @@ class DiGraph:
         self._succ: dict[Node, dict[Node, float]] = {}
         self._pred: dict[Node, set[Node]] = {}
         self._edge_count = 0
+        #: Copy-on-write ownership: ``None`` while this graph owns every
+        #: row; after :meth:`copy`, the nodes whose successor row
+        #: (``_own_succ``) or predecessor set (``_own_pred``) this graph
+        #: has already copied and may mutate in place.
+        self._own_succ: set[Node] | None = None
+        self._own_pred: set[Node] | None = None
+
+    def _succ_row(self, u: Node) -> dict[Node, float]:
+        """The successor row of ``u``, private to this graph (writable)."""
+        row = self._succ[u]
+        owned = self._own_succ
+        if owned is not None and u not in owned:
+            row = self._succ[u] = dict(row)
+            owned.add(u)
+        return row
+
+    def _pred_set(self, v: Node) -> set[Node]:
+        """The predecessor set of ``v``, private to this graph (writable)."""
+        preds = self._pred[v]
+        owned = self._own_pred
+        if owned is not None and v not in owned:
+            preds = self._pred[v] = set(preds)
+            owned.add(v)
+        return preds
 
     # ------------------------------------------------------------------
     # Construction
@@ -51,6 +102,9 @@ class DiGraph:
         if node not in self._succ:
             self._succ[node] = {}
             self._pred[node] = set()
+            if self._own_succ is not None:
+                self._own_succ.add(node)
+                self._own_pred.add(node)
 
     def add_nodes(self, nodes: Iterable[Node]) -> None:
         """Insert every node of ``nodes``."""
@@ -67,10 +121,11 @@ class DiGraph:
             raise GraphError(f"self-loop on node {u!r} is not allowed")
         self.add_node(u)
         self.add_node(v)
-        if v not in self._succ[u]:
+        row = self._succ_row(u)
+        if v not in row:
             self._edge_count += 1
-        self._succ[u][v] = weight
-        self._pred[v].add(u)
+            self._pred_set(v).add(u)
+        row[v] = weight
 
     def set_row(self, u: Node, row: dict[Node, float]) -> None:
         """Replace every outgoing edge of ``u`` with ``row`` in one step.
@@ -84,24 +139,27 @@ class DiGraph:
             raise GraphError(f"self-loop on node {u!r} is not allowed")
         self.add_node(u)
         old = self._succ[u]
-        if row.keys() == old.keys():
-            # Weights-only swap: no predecessor bookkeeping to redo.
-            self._succ[u] = dict(row)
-            return
-        for v in old:
-            self._pred[v].discard(u)
-        for v in row:
-            self.add_node(v)
-            self._pred[v].add(u)
-        self._edge_count += len(row) - len(old)
+        if row.keys() != old.keys():
+            # Only the targets that changed get predecessor bookkeeping,
+            # so a copy-on-write clone copies no other predecessor set.
+            for v in old:
+                if v not in row:
+                    self._pred_set(v).discard(u)
+            for v in row:
+                if v not in old:
+                    self.add_node(v)
+                    self._pred_set(v).add(u)
+            self._edge_count += len(row) - len(old)
         self._succ[u] = dict(row)
+        if self._own_succ is not None:
+            self._own_succ.add(u)
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Delete the edge ``u -> v``; raises GraphError when absent."""
         if not self.has_edge(u, v):
             raise GraphError(f"edge {u!r} -> {v!r} does not exist")
-        del self._succ[u][v]
-        self._pred[v].discard(u)
+        del self._succ_row(u)[v]
+        self._pred_set(v).discard(u)
         self._edge_count -= 1
 
     def remove_node(self, node: Node) -> None:
@@ -178,7 +236,7 @@ class DiGraph:
         row = self._succ.get(u)
         if row is None or v not in row:
             raise GraphError(f"edge {u!r} -> {v!r} does not exist")
-        row[v] = weight
+        self._succ_row(u)[v] = weight
 
     def successors(self, node: Node) -> Iterator[Node]:
         """Nodes reachable by one outgoing edge from ``node``."""
@@ -189,6 +247,18 @@ class DiGraph:
         """Nodes with an edge pointing at ``node``."""
         self._check_node(node)
         return iter(self._pred[node])
+
+    def predecessors_of(self, nodes: Iterable[Node]) -> set[Node]:
+        """Union of the predecessor sets of ``nodes`` (a new set).
+
+        One C-level union over the stored sets — the frontier step of
+        the delta engine's reverse reachability.  Every node must exist.
+        """
+        try:
+            return set().union(*map(self._pred.__getitem__, nodes))
+        except KeyError as missing:
+            node = missing.args[0]
+            raise GraphError(f"node {node!r} does not exist") from None
 
     def out_edges(self, node: Node) -> Iterator[tuple[Node, float]]:
         """(target, weight) pairs of the outgoing edges of ``node``."""
@@ -212,6 +282,41 @@ class DiGraph:
         """Number of incoming edges of ``node``."""
         self._check_node(node)
         return len(self._pred[node])
+
+    def successor_arrays(
+        self, nodes: Iterable[Node] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Successor rows as flat integer arrays, in node and edge order.
+
+        Returns ``(out_degrees, targets)`` for ``nodes`` (every node, in
+        :meth:`nodes` order, by default): ``out_degrees[i]`` is the
+        out-degree of the ``i``-th node, and ``targets`` concatenates
+        the rows' target ids in that order, each row in its stored edge
+        order.  Node ids must be integers; :func:`node_positions` maps
+        the ids into any array index space.  The CSR compiler, its row
+        patcher and the sparse reachability masks all build from these
+        arrays.
+        """
+        rows = self._rows(nodes)
+        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        targets = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=int(degrees.sum())
+        )
+        return degrees, targets
+
+    def weight_array(self, nodes: Iterable[Node] | None = None) -> np.ndarray:
+        """Edge weights aligned with :meth:`successor_arrays` ``targets``."""
+        rows = self._rows(nodes)
+        return np.fromiter(
+            chain.from_iterable(map(dict.values, rows)),
+            dtype=np.float64,
+            count=sum(map(len, rows)),
+        )
+
+    def _rows(self, nodes: Iterable[Node] | None) -> list[dict[Node, float]]:
+        if nodes is None:
+            return list(self._succ.values())
+        return list(map(self._succ.__getitem__, nodes))
 
     def _check_node(self, node: Node) -> None:
         if node not in self._succ:
@@ -242,17 +347,23 @@ class DiGraph:
         return rev
 
     def copy(self) -> "DiGraph":
-        """Deep copy of the graph structure and weights.
+        """Independent copy of the graph structure and weights.
 
-        Row-level dict/set copies instead of per-edge re-insertion: the
-        delta maintenance engine clones the previous SimGraph on every
-        run, so this is a hot path.  Node and per-row edge orders are
+        Copy-on-write: both graphs keep sharing every successor row and
+        predecessor set, and whichever side writes to one copies it
+        first, so neither ever sees the other's changes.  The copy costs
+        O(nodes) rather than O(edges); the delta maintenance engine
+        clones the previous SimGraph on every run and then rewrites only
+        the rows its delta touches.  Node and per-row edge orders are
         preserved exactly.
         """
         dup = DiGraph()
-        dup._succ = {u: dict(targets) for u, targets in self._succ.items()}
-        dup._pred = {v: set(sources) for v, sources in self._pred.items()}
+        dup._succ = dict(self._succ)
+        dup._pred = dict(self._pred)
         dup._edge_count = self._edge_count
+        # From here on every row is shared: neither side owns any.
+        self._own_succ, self._own_pred = set(), set()
+        dup._own_succ, dup._own_pred = set(), set()
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

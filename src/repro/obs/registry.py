@@ -120,9 +120,12 @@ class Histogram:
 
         Delegates to :func:`repro.utils.histogram.percentile`: the value
         is within a factor of ``base`` of the exact sample percentile
-        (see its documented error bound), from bucket counts alone.
+        (see its documented error bound), from bucket counts alone, and
+        clamped into the observed ``[min, max]``.
         """
-        return percentile(self._buckets, q, base=self.base)
+        return percentile(
+            self._buckets, q, base=self.base, low=self.min, high=self.max
+        )
 
     def rows(self) -> list[tuple[str, int]]:
         """(bucket label, count) rows in ascending bucket order."""

@@ -26,6 +26,7 @@ Example
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -138,6 +139,24 @@ class ServiceStats:
     warm_hits: int = 0
     warm_misses: int = 0
     queue_depth: int = 0
+
+
+def _check_time(at: float, clock: float) -> None:
+    """Reject an event time that is non-finite, negative or before ``clock``.
+
+    A NaN would disable the monotone-time guard for good (every
+    comparison with it is False) and an infinity would reject every
+    later event, so both are refused like a time running backwards.
+    The clock itself is always finite and non-negative, so one chained
+    comparison covers every case on the hot path.
+    """
+    if clock <= at < math.inf:
+        return
+    if not math.isfinite(at) or at < 0:
+        raise DatasetError(
+            f"event time must be finite and non-negative, got {at!r}"
+        )
+    raise DatasetError(f"time must be monotone: {at} < current clock {clock}")
 
 
 class RecommendationService:
@@ -273,7 +292,11 @@ class RecommendationService:
         * an event whose timestamp makes maintenance due (the rebuild
           recompiles the engine and invalidates warm state, so deferred
           work must be scored against the pre-rebuild graph it was
-          released under).
+          released under);
+        * an event whose own ``offer`` releases its tweet's task: that
+          task is scored before the event is absorbed and delivered
+          after, as :meth:`retweet` does (absorbing first would add the
+          event's user to the task's seeds).
 
         The only tolerated divergence from sequential ingestion is
         warm-cache **LRU victim order** when the cache thrashes at
@@ -281,13 +304,18 @@ class RecommendationService:
         writes instead of interleaved); entries never outlive their 72h
         horizon either way.
 
-        Unknown tweet ids raise :class:`DatasetError` before any state
-        changes (the per-event path validates the same way, just one
-        event at a time).
+        Unknown tweet ids and bad times (non-finite, negative or out of
+        order) raise :class:`DatasetError` before any state changes (the
+        per-event path validates the same way, just one event at a
+        time).
         """
         unknown = sorted({t for _, t, _ in events if t not in self.tweets})
         if unknown:
             raise DatasetError(f"unknown tweet ids {unknown}")
+        clock = self._clock
+        for _, _, at in events:
+            _check_time(at, clock)
+            clock = at
         delivered: list[list[Recommendation]] = [[] for _ in events]
         pending: list[tuple[int, PropagationTask]] = []
         pending_tweets: set[int] = set()
@@ -318,7 +346,18 @@ class RecommendationService:
             event = Retweet(user=user, tweet=tweet, time=at)
             if self._scheduler is not None:
                 released = self._scheduler.offer(event)
-                self._absorb(event)
+                if any(task.tweet == tweet for task in released):
+                    # The event's own offer released its tweet's task:
+                    # score it against the seeds before this retweet and
+                    # deliver after absorbing it, exactly as retweet()
+                    # does — deferring would score it with one seed more.
+                    flush_pending()
+                    recs = self._run_tasks(released)
+                    self._absorb(event)
+                    delivered[i].extend(self._deliver(recs))
+                    released = []
+                else:
+                    self._absorb(event)
             else:
                 self._absorb(event)
                 released = [
@@ -422,6 +461,8 @@ class RecommendationService:
 
     def flush(self, now: float | None = None) -> list[Recommendation]:
         """Drain the scheduler (end of stream / shutdown)."""
+        if now is not None:
+            _check_time(now, self._clock)
         if self._scheduler is None:
             return []
         if now is not None:
@@ -445,9 +486,10 @@ class RecommendationService:
         weight-changed tweets, followers whose candidate sets grew, and
         their exploration fringe — is rescored.  Its report then drives
         two further scoped paths: in-place CSR row patching
-        (:meth:`~repro.core.csr.CSRSimGraph.patch_rows`) when no row
-        changed topology, and warm-cache invalidation restricted to
-        tweets whose seeds intersect the affected users.
+        (:meth:`~repro.core.csr.CSRSimGraph.patch_rows`, splicing the
+        rows whose edge sets changed), and, when no row changed
+        topology, warm-cache invalidation restricted to tweets whose
+        seeds intersect the affected users.
         """
         name = strategy if strategy is not None else self.config.rebuild_strategy
         if name not in ALL_STRATEGIES:
@@ -585,19 +627,15 @@ class RecommendationService:
 
         On the compiled backends (``csr`` and the kernel's ``numba``,
         which shares the same structure) the compiled CSR is refreshed
-        here: a delta report with unchanged topology patches only the
-        changed rows in place
-        (:meth:`~repro.core.csr.CSRSimGraph.patch_rows`); a weights-only
-        rebuild without a report patches the full weight array; anything
-        else recompiles.
+        here: a delta report names the changed rows, which
+        :meth:`~repro.core.csr.CSRSimGraph.patch_rows` rewrites in place
+        — weights only, or spliced when their edge sets changed; a
+        rebuild without a report patches the full weight array when the
+        topology held; anything else recompiles.
         """
         if self._prop_resolved in ("csr", "numba"):
             patched = False
-            if (
-                self._csr is not None
-                and report is not None
-                and not report.topology_changed
-            ):
+            if self._csr is not None and report is not None:
                 if report.noop:
                     patched = True
                 elif self._csr.patch_rows(
@@ -714,10 +752,13 @@ class RecommendationService:
         return False
 
     def _advance(self, at: float) -> None:
-        if at < self._clock:
-            raise DatasetError(
-                f"time must be monotone: {at} < current clock {self._clock}"
-            )
+        """Move the clock to ``at``, running maintenance when it is due.
+
+        Every timed entry point comes through here before it changes any
+        state, so a bad time is rejected with nothing touched.
+        """
+        if not self._clock <= at < math.inf:
+            _check_time(at, self._clock)
         rebuild = self._rebuild_due(at)
         self._clock = at
         if rebuild:

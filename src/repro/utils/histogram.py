@@ -144,6 +144,8 @@ def percentile(
     bucket_counts: dict[int | None, int] | Counter,
     q: float,
     base: float = 2.0,
+    low: float | None = None,
+    high: float | None = None,
 ) -> float:
     """Estimate the ``q``-quantile of log-binned observations.
 
@@ -166,6 +168,13 @@ def percentile(
     percentiles must keep raw samples (the load generator does, for the
     BENCH gates).
 
+    ``low``/``high`` are the smallest and largest observation when the
+    caller tracks them (the ``repro.obs`` histograms do): the estimate is
+    clamped into ``[low, high]``, so it never leaves the observed range —
+    interpolation inside a bucket alone can land below the minimum or
+    above the maximum.  Clamping keeps the error bound, since the exact
+    order statistic lies in that range too.
+
     Returns 0.0 for an empty histogram.
     """
     if not 0.0 <= q <= 1.0:
@@ -179,7 +188,18 @@ def percentile(
         n += count
     if n == 0:
         return 0.0
-    rank = q * (n - 1)
+    estimate = _bucket_estimate(bucket_counts, q * (n - 1), base)
+    if low is not None:
+        estimate = max(estimate, float(low))
+    if high is not None:
+        estimate = min(estimate, float(high))
+    return estimate
+
+
+def _bucket_estimate(
+    bucket_counts: dict[int | None, int] | Counter, rank: float, base: float
+) -> float:
+    """Geometric interpolation of order statistic ``rank`` in its bucket."""
     ordered = sorted(
         bucket_counts.items(), key=lambda kv: (kv[0] is not None, kv[0] or 0)
     )

@@ -1,6 +1,7 @@
 """Tests for repro.core.delta — the scoped maintenance engine."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import RetweetProfiles, SimGraphBuilder
 from repro.core.delta import DeltaPlan, affected_region, apply_delta
@@ -13,6 +14,37 @@ def follow_chain(*edges) -> DiGraph:
     for u, v in edges:
         graph.add_edge(u, v)
     return graph
+
+
+def graph_state(graph: DiGraph) -> tuple:
+    """Node order, per-row (target, weight) order, predecessor sets."""
+    nodes = list(graph.nodes())
+    return (
+        nodes,
+        [list(graph.out_row(u).items()) for u in nodes],
+        [set(graph.predecessors(u)) for u in nodes],
+        graph.edge_count,
+    )
+
+
+@st.composite
+def delta_worlds(draw):
+    """A follow graph, base and delta retweets, new follows, a backend."""
+    n = draw(st.integers(3, 9))
+    user = st.integers(0, n - 1)
+    edge = st.tuples(user, user).filter(lambda e: e[0] != e[1])
+    follows = draw(st.lists(edge, min_size=1, max_size=4 * n))
+    base = draw(
+        st.lists(st.tuples(user, st.integers(0, 6)), min_size=4, max_size=30)
+    )
+    delta = draw(
+        st.lists(st.tuples(user, st.integers(0, 9)), min_size=1, max_size=10)
+    )
+    new_follows = draw(st.lists(edge, max_size=3))
+    backend = draw(st.sampled_from(["reference", "vectorized"]))
+    # A high tau makes growing profiles drop edges as well as add them.
+    tau = draw(st.sampled_from([1e-6, 0.2, 0.4]))
+    return follows, base, delta, new_follows, backend, tau
 
 
 class TestDirtyTracking:
@@ -198,13 +230,44 @@ class TestApplyDelta:
         assert report.topology_changed
         assert refreshed.graph.edge_count == 2
 
-    def test_old_graph_is_not_mutated(self):
-        graph, profiles, builder, old = self.build_world()
-        before = sorted(old.graph.edges())
-        profiles.add(1, 99)
-        refreshed, _ = apply_delta(old, graph, profiles, builder)
-        assert refreshed is not old
-        assert sorted(old.graph.edges()) == before
+    @given(world=delta_worlds())
+    def test_old_graph_is_not_mutated(self, world):
+        # apply_delta clones the old graph copy-on-write, so the two
+        # share rows until one side writes: check weights, per-row edge
+        # order, node order and predecessor sets on both sides.
+        follows, base, delta, new_follows, backend, tau = world
+        graph = follow_chain(*follows)
+        profiles = RetweetProfiles()
+        for user, tweet in base:
+            profiles.add(user, tweet)
+        builder = SimGraphBuilder(tau=tau, backend=backend)
+        old = builder.build(graph, profiles)
+        profiles.mark_clean()
+        before = graph_state(old.graph)
+        for user, tweet in delta:
+            profiles.add(user, tweet)
+        extra = set()
+        for follower, followee in new_follows:
+            graph.add_edge(follower, followee)
+            extra.add(follower)
+            extra.update(graph.predecessors(follower))
+        plan = affected_region(profiles, graph, extra_sources=extra)
+
+        refreshed, report = apply_delta(old, graph, profiles, builder, plan=plan)
+        assert graph_state(old.graph) == before
+        if not report.noop:
+            assert refreshed is not old
+            # Writes to the clone stay private to it ...
+            after = graph_state(refreshed.graph)
+            for node in list(refreshed.graph.nodes()):
+                refreshed.graph.remove_node(node)
+            assert graph_state(old.graph) == before
+            # ... and so do writes to the original.
+            again, _ = apply_delta(old, graph, profiles, builder, plan=plan)
+            assert graph_state(again.graph) == after
+            for node in list(old.graph.nodes()):
+                old.graph.remove_node(node)
+            assert graph_state(again.graph) == after
 
     def test_metrics_counters_fire(self):
         graph, profiles, builder, old = self.build_world()

@@ -1,10 +1,11 @@
 """Tests for repro.graph.digraph."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import GraphError
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, node_positions
 
 
 def build_triangle() -> DiGraph:
@@ -141,6 +142,60 @@ class TestDerivedGraphs:
         dup = g.copy()
         dup.remove_edge(0, 1)
         assert g.has_edge(0, 1)
+
+    def test_copy_on_write_isolates_both_sides(self):
+        g = build_triangle()
+        dup = g.copy()
+        # Writes on the source after the copy stay private too.
+        g.update_weight(1, 2, 0.1)
+        g.set_row(2, {1: 0.3})
+        dup.add_edge(0, 2, weight=0.4)
+        assert dup.weight(1, 2) == 0.7
+        assert set(dup.predecessors(0)) == {2}
+        assert set(dup.predecessors(1)) == {0}
+        assert g.out_row(0) == {1: 0.5}
+        assert set(g.predecessors(2)) == {1}
+        assert g.edge_count == 3 and dup.edge_count == 4
+        # A copy of a copy stays independent of both.
+        third = dup.copy()
+        third.remove_node(0)
+        assert dup.has_edge(0, 2) and g.has_edge(0, 1)
+
+
+class TestArrays:
+    def test_successor_arrays_follow_node_and_edge_order(self):
+        g = DiGraph()
+        g.add_nodes([5, 3, 9])
+        g.add_edge(5, 9, weight=0.25)
+        g.add_edge(5, 3, weight=0.5)
+        g.add_edge(9, 5, weight=0.75)
+        degrees, targets = g.successor_arrays()
+        assert degrees.tolist() == [2, 0, 1]
+        assert targets.tolist() == [9, 3, 5]
+        assert g.weight_array().tolist() == [0.25, 0.5, 0.75]
+        degrees, targets = g.successor_arrays([9, 5])
+        assert degrees.tolist() == [1, 2]
+        assert targets.tolist() == [5, 9, 3]
+        assert g.weight_array([9, 5]).tolist() == [0.75, 0.25, 0.5]
+
+    @pytest.mark.parametrize(
+        "order", [[4, 0, 2, 1], [10**12, -5, 7, 3 * 10**9]]
+    )
+    def test_node_positions_compact_and_sparse_ids(self, order):
+        # Compact ids take the dense-table path, far-apart ids the
+        # sorted-search path; both answer the same positions.
+        order_arr = np.array(order, dtype=np.int64)
+        ids = np.array(order[::-1] + order[:2], dtype=np.int64)
+        expected = [order.index(i) for i in ids.tolist()]
+        assert node_positions(order_arr, ids).tolist() == expected
+
+    def test_predecessors_of_unions_sets(self):
+        g = build_triangle()
+        g.add_edge(1, 0)
+        assert g.predecessors_of([0, 1]) == {2, 1, 0}
+        assert g.predecessors_of([]) == set()
+        with pytest.raises(GraphError):
+            g.predecessors_of([42])
 
 
 @given(

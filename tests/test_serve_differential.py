@@ -242,3 +242,55 @@ class TestShardedServeSmoke:
             ]
         finally:
             sharded.close()
+
+
+class TestOwnTweetRelease:
+    """A retweet whose own ``offer`` releases its tweet's postponed task.
+
+    ``retweet`` scores the released task against the seeds *before* the
+    event and absorbs the event afterwards; ``ingest_batch`` must do the
+    same, or the task propagates with the event's user as an extra seed.
+    """
+
+    @staticmethod
+    def own_release_stream(service) -> list[tuple[int, int, float]]:
+        """Two retweets per tweet, the second just after the first's task
+        fell due; tweets are spaced so no other task is due at that time.
+        """
+        delay = service._scheduler.policy.delay_for(0.0)
+        graph = service.simgraph.graph
+        # Influential seeds, so an extra seed visibly moves the scores.
+        users = sorted(
+            graph.nodes(), key=lambda u: (-graph.in_degree(u), u)
+        )[:24]
+        next_tweet = max(service.tweets, default=0) + 1
+        events = []
+        for i in range(12):
+            tweet = next_tweet + i
+            start = i * (delay + 120.0)
+            service.post_tweet(tweet_id=tweet, author=users[-1 - i], at=0.0)
+            events.append((users[2 * i], tweet, start + 30.0))
+            events.append((users[2 * i + 1], tweet, start + 30.0 + delay + 1.0))
+        return events
+
+    def test_offer_releases_own_tweet(self):
+        kwargs = {"use_scheduler": True, "prop_backend": "csr"}
+        sequential = build_service(**kwargs)
+        batched = build_service(**kwargs)
+        single = build_service(**kwargs)
+        events = self.own_release_stream(sequential)
+        assert self.own_release_stream(batched) == events
+        self.own_release_stream(single)
+
+        expected = [
+            as_tuples(sequential.retweet(user=u, tweet=t, at=at))
+            for u, t, at in events
+        ]
+        # The stream really exercises the case: every second retweet
+        # releases its own tweet's task, and those tasks notify someone.
+        assert any(expected[1::2])
+        assert [as_tuples(r) for r in batched.ingest_batch(events)] == expected
+        one_by_one = [single.ingest_batch([e])[0] for e in events]
+        assert [as_tuples(r) for r in one_by_one] == expected
+        assert batched._known == sequential._known == single._known
+        assert batched.stats == sequential.stats

@@ -1,5 +1,7 @@
 """Tests for repro.service.engine (the online service facade)."""
 
+import dataclasses
+
 import pytest
 
 from repro.exceptions import ConfigError, DatasetError
@@ -391,3 +393,68 @@ class TestMaintenance:
         service.rebuild("from scratch")
         refreshed = service.rebuild("crossfold")
         assert refreshed.node_count > 0
+
+
+class TestEventTimeValidation:
+    """Bad event times are rejected before any state changes."""
+
+    BAD_TIMES = [float("nan"), float("inf"), float("-inf"), -1.0]
+
+    ENTRY_POINTS = {
+        "post_tweet": lambda s, at: s.post_tweet(tweet_id=300, author=3, at=at),
+        "retweet": lambda s, at: s.retweet(user=4, tweet=200, at=at),
+        "ingest_batch": lambda s, at: s.ingest_batch(
+            [(4, 200, 600.0), (3, 200, at)]
+        ),
+        "warm_answer": lambda s, at: s.warm_answer(user=4, tweet=200, at=at),
+        "flush": lambda s, at: s.flush(now=at),
+    }
+
+    @staticmethod
+    def state(service) -> tuple:
+        return (
+            service.metrics_snapshot(deterministic=True),
+            dataclasses.replace(service.stats),
+            service._clock,
+            set(service._known),
+            set(service.tweets),
+        )
+
+    @pytest.mark.parametrize("use_scheduler", [False, True])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("at", BAD_TIMES, ids=repr)
+    def test_rejected_without_state_change(self, entry, at, use_scheduler):
+        service = warm_service(use_scheduler=use_scheduler)
+        before = self.state(service)
+        with pytest.raises(DatasetError):
+            self.ENTRY_POINTS[entry](service, at)
+        assert self.state(service) == before
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_backwards_time_rejected_without_state_change(self, entry):
+        service = warm_service(use_scheduler=True)
+        service.retweet(user=4, tweet=200, at=900.0)
+        before = self.state(service)
+        with pytest.raises(DatasetError):
+            self.ENTRY_POINTS[entry](service, 800.0)
+        assert self.state(service) == before
+
+    def test_clock_stays_monotone_after_rejected_nan(self):
+        # A NaN used to become the clock, after which any earlier time
+        # passed the monotone guard.
+        service = warm_service()
+        service.retweet(user=4, tweet=200, at=900.0)
+        with pytest.raises(DatasetError):
+            service.retweet(user=3, tweet=200, at=float("nan"))
+        with pytest.raises(DatasetError):
+            service.retweet(user=3, tweet=200, at=1.0)
+
+    def test_service_usable_after_rejected_inf(self):
+        # An infinity used to become the clock and reject every later
+        # event.
+        service = warm_service()
+        with pytest.raises(DatasetError):
+            service.post_tweet(tweet_id=300, author=3, at=float("inf"))
+        service.post_tweet(tweet_id=300, author=3, at=600.0)
+        service.retweet(user=4, tweet=300, at=700.0)
+        assert service._clock == 700.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.obs.registry import Histogram
 from repro.utils.histogram import (
     FIGURE2_BINS,
     Bin,
@@ -156,6 +157,41 @@ class TestPercentile:
         estimate = percentile(bucketize(samples, base), q, base=base)
         assert exact / base * (1 - 1e-9) <= estimate
         assert estimate <= exact * base * (1 + 1e-9)
+        # Clamping into the observed range keeps the bound.
+        clamped = percentile(
+            bucketize(samples, base), q, base=base,
+            low=min(samples), high=max(samples),
+        )
+        assert exact / base * (1 - 1e-9) <= clamped
+        assert clamped <= exact * base * (1 + 1e-9)
+
+
+    @given(
+        samples=st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            min_size=1,
+            max_size=300,
+        ),
+        q=st.floats(min_value=0.0, max_value=1.0),
+        base=st.sampled_from([2.0, 10.0]),
+    )
+    def test_histogram_estimate_within_observed_range(self, samples, q, base):
+        histogram = Histogram("h", base=base)
+        for sample in samples:
+            histogram.observe(sample)
+        assert min(samples) <= histogram.percentile(q) <= max(samples)
+
+    def test_constant_samples_answer_exactly(self):
+        # min = max = 3600 once read p50 = 2895: interpolation inside the
+        # [2048, 4096) bucket left the observed range.
+        histogram = Histogram("delay")
+        for _ in range(7):
+            histogram.observe(3600.0)
+        assert histogram.percentile(0.5) == 3600.0
+        assert percentile(bucketize([3600.0] * 7), 0.5) < 3600.0
+        assert percentile(
+            bucketize([3600.0] * 7), 0.5, low=3600.0, high=3600.0
+        ) == 3600.0
 
 
 class TestExactCounts:
